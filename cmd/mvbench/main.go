@@ -251,7 +251,7 @@ func benchPopulation1MResponse(b *testing.B) {
 
 // benchShardExchange isolates the cross-shard hot path: per op, 64 virus
 // messages are sent from shard 0 to a fixed set of shard 1 phones, then one
-// conservative window runs — outbox drain, canonical stable sort, and
+// conservative window runs — outbox drain, canonical sort, and
 // owner-shard injection — via the serial RunWindow driver (no pool, so the
 // allocation count is scheduling-independent). The small target set
 // saturates the read-cap elision during warmup, leaving a deterministic

@@ -1,8 +1,11 @@
 package des
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // BenchmarkScheduleAndFire measures raw event throughput: schedule and
@@ -68,4 +71,49 @@ func BenchmarkSelfPerpetuatingChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim.Run()
+}
+
+// BenchmarkHold is the classic hold model (Vaucher & Duval 1975; Jones,
+// CACM 1986): the queue is filled to a fixed depth, then every operation
+// pops the earliest event and schedules a replacement an exponentially
+// distributed increment later, so the depth stays constant. Increments
+// come from a fixed seed, so every run replays the same schedule. One op
+// is one pop plus one schedule.
+func BenchmarkHold(b *testing.B) {
+	for _, depth := range []int{1_000, 10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			src := rng.New(1)
+			incr := make([]time.Duration, 1<<16)
+			for i := range incr {
+				incr[i] = time.Duration(src.Exp(float64(time.Minute)))
+			}
+			sim := New()
+			next := 0
+			var hold ArgHandler
+			hold = func(s *Simulation, _ uint64) {
+				if _, err := s.ScheduleArgAfter(incr[next&(len(incr)-1)], hold, 0); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			for i := 0; i < depth; i++ {
+				if _, err := sim.ScheduleArgAfter(incr[next&(len(incr)-1)], hold, 0); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			// Reach the steady state before timing: every initial event has
+			// been replaced once.
+			fired := sim.Fired()
+			sim.RunWhile(func() bool { return sim.Fired()-fired < uint64(depth) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			fired = sim.Fired()
+			sim.RunWhile(func() bool { return sim.Fired()-fired < uint64(b.N) })
+			b.StopTimer()
+			if sim.Pending() != depth {
+				b.Fatalf("depth drifted to %d, want %d", sim.Pending(), depth)
+			}
+		})
+	}
 }

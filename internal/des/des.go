@@ -7,18 +7,30 @@
 // expressed as time.Duration offsets from the simulation start, which is all
 // the models need and keeps arithmetic exact.
 //
-// The event calendar is an internal 4-ary index-tracking heap over a pooled
-// event arena (see DESIGN.md §9): events live in a flat slice, fired and
-// cancelled slots are recycled through a free list, and the heap orders
-// arena indices rather than boxed pointers. Steady-state scheduling
-// therefore performs zero allocations, and handles carry a generation
-// counter so a handle that outlives its event (fired, cancelled, or the
-// slot since reused) is inert rather than aliasing the new occupant.
+// Events live in a pooled arena (see DESIGN.md §9): a flat slice whose
+// fired slots are recycled through a free list, so steady-state scheduling
+// performs zero allocations. Handles carry a generation counter, so a
+// handle that outlives its event (fired, cancelled, or the slot since
+// reused) is inert rather than aliasing the new occupant.
+//
+// The calendar is a monotone radix-bucket queue (calendar.go). It relies on
+// virtual time never going backwards: ScheduleAt rejects times before Now,
+// so every pending event is at or after the last extracted time, and an
+// event's bucket is the highest bit where its time differs from that time.
+// Events at exactly the last extracted time pop by (priority, seq). Because
+// (at, priority, seq) is a total order — seq is unique — any correct queue
+// pops in exactly one order, so the calendar fires events in the same order
+// as the heaps it replaced and every trajectory is unchanged.
+//
+// Cancellation is lazy: a cancelled event stays queued as a tombstone until
+// it surfaces, and the queue is compacted once tombstones outnumber live
+// events, so cancel-heavy workloads stay bounded in memory.
 package des
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -48,18 +60,29 @@ type Handle struct {
 // (it may have fired or been cancelled since).
 func (h Handle) Valid() bool { return h.slot != 0 }
 
-// event is one arena slot. Slots are recycled: gen increments every time
-// the slot is released, invalidating outstanding handles. Exactly one of
-// handler/argHandler is set; arg is meaningful only with argHandler.
+// event is one arena slot. Slots are recycled: gen increments when the
+// event fires or is cancelled, invalidating outstanding handles. A queued
+// event has exactly one of handler/argHandler set; a cancelled event still
+// in the calendar (a tombstone) has neither. arg is meaningful only with
+// argHandler. The firing time lives in the calendar entry, not here.
 type event struct {
-	at         time.Duration
 	seq        uint64 // schedule order; breaks ties FIFO
 	arg        uint64 // payload passed to argHandler
 	priority   int    // lower fires first at equal time
-	heapIdx    int32  // index into Simulation.heap, -1 when not queued
 	gen        uint32
 	handler    Handler
 	argHandler ArgHandler
+}
+
+// dead reports whether the slot holds a cancelled event (a tombstone).
+func (ev *event) dead() bool { return ev.handler == nil && ev.argHandler == nil }
+
+// retire ends the event's life: the generation bump makes outstanding
+// handles stale, and dropping the handler releases any captured state.
+func (ev *event) retire() {
+	ev.gen++
+	ev.handler = nil
+	ev.argHandler = nil
 }
 
 // Tracer observes every fired event; install one with Simulation.SetTracer
@@ -71,10 +94,10 @@ type Tracer interface {
 // Simulation is a single-threaded discrete-event simulation. It is not safe
 // for concurrent use; run one Simulation per goroutine.
 type Simulation struct {
-	now     time.Duration
-	arena   []event  // pooled event storage
-	heap    []uint32 // arena indices, 4-ary heap ordered by (at, priority, seq)
-	free    []uint32 // released arena slots awaiting reuse
+	now   time.Duration
+	arena []event  // pooled event storage
+	free  []uint32 // released arena slots awaiting reuse
+	calendar
 	nextSeq uint64
 	fired   uint64
 	tracer  Tracer
@@ -92,8 +115,9 @@ func (s *Simulation) Now() time.Duration { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Simulation) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events currently scheduled.
-func (s *Simulation) Pending() int { return len(s.heap) }
+// Pending returns the number of events currently scheduled (cancelled
+// events are not counted, even while their tombstones are still queued).
+func (s *Simulation) Pending() int { return s.live }
 
 // SetTracer installs a tracer invoked for every fired event. Pass nil to
 // remove.
@@ -163,17 +187,14 @@ func (s *Simulation) acquire(at time.Duration, priority int) (uint32, *event) {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		s.arena = append(s.arena, event{heapIdx: -1})
+		s.arena = append(s.arena, event{})
 		slot = uint32(len(s.arena) - 1)
 	}
 	s.nextSeq++
 	ev := &s.arena[slot]
-	ev.at = at
 	ev.seq = s.nextSeq
 	ev.priority = priority
-	ev.heapIdx = int32(len(s.heap))
-	s.heap = append(s.heap, slot)
-	s.siftUp(len(s.heap) - 1)
+	s.push(at, slot)
 	return slot, ev
 }
 
@@ -198,6 +219,11 @@ func (s *Simulation) ScheduleAfterPriority(delay time.Duration, priority int, h 
 // pending (false if it already fired, was cancelled, or the handle is
 // invalid or stale — a stale handle never touches an event that reused the
 // slot).
+//
+// The handle goes stale at once. The only event of the calendar leaves it
+// immediately; any other becomes a tombstone whose slot returns to the
+// free list when the calendar next meets the entry, or when tombstones
+// outnumber live events and the calendar is compacted.
 func (s *Simulation) Cancel(h Handle) bool {
 	if h.slot == 0 {
 		return false
@@ -207,60 +233,69 @@ func (s *Simulation) Cancel(h Handle) bool {
 		return false
 	}
 	ev := &s.arena[slot]
-	if ev.gen != h.gen || ev.heapIdx < 0 {
+	if ev.gen != h.gen {
 		return false
 	}
-	s.removeAt(int(ev.heapIdx))
-	s.release(slot)
+	ev.retire()
+	s.live--
+	if s.soloSet {
+		// The solo entry is the only one queued, so it is this event's.
+		s.soloSet = false
+		s.free = append(s.free, slot)
+		return true
+	}
+	s.tombs++
+	if s.tombs > s.live {
+		s.compact()
+	}
 	return true
-}
-
-// release recycles an arena slot: the generation bump makes outstanding
-// handles stale, and dropping the handler releases any captured state.
-func (s *Simulation) release(slot uint32) {
-	ev := &s.arena[slot]
-	ev.gen++
-	ev.handler = nil
-	ev.argHandler = nil
-	ev.heapIdx = -1
-	s.free = append(s.free, slot)
 }
 
 // Stop makes the current run loop return after the executing handler
 // completes. Pending events remain queued.
 func (s *Simulation) Stop() { s.stopped = true }
 
-// step fires the earliest event. It reports false when the queue is empty.
-func (s *Simulation) step() bool {
-	if len(s.heap) == 0 {
-		return false
+// step fires the earliest event if its time is at most end. It reports
+// false when no live event is due by end.
+func (s *Simulation) step(end time.Duration) bool {
+	for {
+		slot, at, ok := s.pop(end)
+		if !ok {
+			return false
+		}
+		ev := &s.arena[slot]
+		if ev.dead() {
+			s.tombs--
+			s.free = append(s.free, slot)
+			continue
+		}
+		seq := ev.seq
+		h, argH, arg := ev.handler, ev.argHandler, ev.arg
+		// Release before running the handler: by the time user code
+		// executes, the handle is stale and the slot is reusable, so a
+		// handler that cancels its own handle or schedules into the freed
+		// slot is safe.
+		ev.retire()
+		s.free = append(s.free, slot)
+		s.live--
+		s.now = at
+		s.fired++
+		if s.tracer != nil {
+			s.tracer.Fired(at, seq)
+		}
+		if argH != nil {
+			argH(s, arg)
+		} else {
+			h(s)
+		}
+		return true
 	}
-	slot := s.heap[0]
-	ev := &s.arena[slot]
-	at, seq := ev.at, ev.seq
-	h, argH, arg := ev.handler, ev.argHandler, ev.arg
-	s.removeAt(0)
-	// Release before running the handler: by the time user code executes,
-	// the handle is stale and the slot is reusable, so a handler that
-	// cancels its own handle or schedules into the freed slot is safe.
-	s.release(slot)
-	s.now = at
-	s.fired++
-	if s.tracer != nil {
-		s.tracer.Fired(at, seq)
-	}
-	if argH != nil {
-		argH(s, arg)
-	} else {
-		h(s)
-	}
-	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
 func (s *Simulation) Run() {
 	s.stopped = false
-	for !s.stopped && s.step() {
+	for !s.stopped && s.step(math.MaxInt64) {
 	}
 }
 
@@ -268,11 +303,7 @@ func (s *Simulation) Run() {
 // to end. Events scheduled beyond end remain pending.
 func (s *Simulation) RunUntil(end time.Duration) {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.heap) == 0 || s.arena[s.heap[0]].at > end {
-			break
-		}
-		s.step()
+	for !s.stopped && s.step(end) {
 	}
 	if s.now < end && !s.stopped {
 		s.now = end
@@ -283,93 +314,6 @@ func (s *Simulation) RunUntil(end time.Duration) {
 // event. It stops when the queue empties, cond fails, or Stop is called.
 func (s *Simulation) RunWhile(cond func() bool) {
 	s.stopped = false
-	for !s.stopped && cond() && s.step() {
-	}
-}
-
-// --- 4-ary index-tracking heap over arena slots ---
-//
-// A 4-ary heap halves tree depth versus binary, trading a wider child scan
-// (cheap: the four slot indices share a cache line) for fewer levels of
-// sift traffic — the classic d-ary layout used by high-throughput event
-// calendars. The ordering (at, priority, seq) is a total order because seq
-// is unique, so pop order — and therefore every simulation trajectory — is
-// identical to the previous binary container/heap kernel.
-
-// less orders arena slots a before b.
-func (s *Simulation) less(a, b uint32) bool {
-	ea, eb := &s.arena[a], &s.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if ea.priority != eb.priority {
-		return ea.priority < eb.priority
-	}
-	return ea.seq < eb.seq
-}
-
-// setHeap writes slot into heap position i and tracks the index.
-func (s *Simulation) setHeap(i int, slot uint32) {
-	s.heap[i] = slot
-	s.arena[slot].heapIdx = int32(i)
-}
-
-// siftUp restores heap order from position i toward the root.
-func (s *Simulation) siftUp(i int) {
-	slot := s.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !s.less(slot, s.heap[parent]) {
-			break
-		}
-		s.setHeap(i, s.heap[parent])
-		i = parent
-	}
-	s.setHeap(i, slot)
-}
-
-// siftDown restores heap order from position i toward the leaves.
-func (s *Simulation) siftDown(i int) {
-	n := len(s.heap)
-	slot := s.heap[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if s.less(s.heap[c], s.heap[best]) {
-				best = c
-			}
-		}
-		if !s.less(s.heap[best], slot) {
-			break
-		}
-		s.setHeap(i, s.heap[best])
-		i = best
-	}
-	s.setHeap(i, slot)
-}
-
-// removeAt deletes the heap entry at position i, preserving heap order.
-func (s *Simulation) removeAt(i int) {
-	n := len(s.heap) - 1
-	moved := s.heap[n]
-	removed := s.heap[i]
-	s.arena[removed].heapIdx = -1
-	s.heap = s.heap[:n]
-	if i == n {
-		return
-	}
-	s.setHeap(i, moved)
-	if i > 0 && s.less(moved, s.heap[(i-1)/4]) {
-		s.siftUp(i)
-	} else {
-		s.siftDown(i)
+	for !s.stopped && cond() && s.step(math.MaxInt64) {
 	}
 }

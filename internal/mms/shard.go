@@ -47,9 +47,12 @@ func (b *remoteBuf) reset() {
 
 // exchangeBatch is the coordinator's merged view of all outboxes, reused
 // across windows. It implements sort.Interface over the canonical
-// (arrival, sender, target) order; sort.Stable on the stored value sorts
-// the three columns in place without the reflect-based swapper (and the
-// per-window closure) that sort.SliceStable would allocate.
+// (arrival, sender, target) order; sort.Sort on the stored value sorts the
+// three columns in place without the reflect-based swapper (and the
+// per-window closure) that sort.Slice would allocate. The sort key is the
+// whole record, so two copies that compare equal are indistinguishable:
+// an unstable sort (pdqsort) produces exactly the output a stable one
+// would.
 type exchangeBatch struct {
 	remoteBuf
 }
@@ -331,10 +334,10 @@ func (ss *ShardSet) exchange(barrier time.Duration) {
 	if len(b.at) == 0 {
 		return
 	}
-	// Stable canonical order decouples the exchange from shard indexing and
+	// The canonical order decouples the exchange from shard indexing and
 	// scheduling: two copies with equal arrival times inject in (from,
 	// target) order no matter which shard produced them first.
-	sort.Stable(b)
+	sort.Sort(b)
 	for i := range b.at {
 		target := PhoneID(b.target[i])
 		ss.nets[ss.ShardOf(target)].receiveRemote(b.at[i], PhoneID(b.from[i]), target, barrier)

@@ -10,7 +10,7 @@ import (
 
 // TestShardedExchangeAllocationFree pins the cross-shard hot path at zero
 // steady-state allocations: sends queued into the flat SoA outbox, the
-// barrier drain with its canonical stable sort, and owner-shard injection
+// barrier drain with its canonical sort, and owner-shard injection
 // must all run out of reused buffers once warmed. This is the same
 // invariant the mms/shard-exchange mvbench entry gates in CI, checked here
 // hermetically so a regression fails `go test ./...` with a direct pointer

@@ -26,6 +26,10 @@ type Immunizer struct {
 
 	deployStarted time.Duration
 	started       bool
+	// patchH installs the patch on the phone id passed as its argument:
+	// one long-lived handler for the whole wave instead of a closure per
+	// phone.
+	patchH des.ArgHandler
 
 	// Sharded-run state: development completion is armed at the barrier
 	// where merged detection fires; the patch wave is drawn once in
@@ -90,6 +94,10 @@ func (im *Immunizer) Attach(n *mms.Network, src *rng.Source) error {
 func (im *Immunizer) deploy(n *mms.Network, src *rng.Source) {
 	im.started = true
 	im.deployStarted = n.Sim().Now()
+	im.patchH = func(_ *des.Simulation, arg uint64) {
+		// Patch failures are impossible for in-range ids.
+		_ = n.Patch(mms.PhoneID(arg))
+	}
 	for i := 0; i < n.N(); i++ {
 		id := mms.PhoneID(i)
 		if n.State(id) == mms.StateNotVulnerable {
@@ -99,10 +107,7 @@ func (im *Immunizer) deploy(n *mms.Network, src *rng.Source) {
 		if im.DeploymentWindow > 0 {
 			offset = time.Duration(src.Uniform(0, float64(im.DeploymentWindow)))
 		}
-		if _, err := n.Sim().ScheduleAfter(offset, func(*des.Simulation) {
-			// Patch failures are impossible for in-range ids.
-			_ = n.Patch(id)
-		}); err != nil {
+		if _, err := n.Sim().ScheduleArgAfter(offset, im.patchH, uint64(id)); err != nil {
 			return
 		}
 	}

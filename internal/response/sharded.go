@@ -1,9 +1,10 @@
 package response
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/des"
@@ -161,6 +162,11 @@ func (im *Immunizer) AttachShards(ss *mms.ShardSet, src *rng.Source) error {
 func (im *Immunizer) deployShards(ss *mms.ShardSet, src *rng.Source) {
 	im.started = true
 	im.deployStarted = im.armAt
+	im.patchH = func(_ *des.Simulation, arg uint64) {
+		id := mms.PhoneID(arg)
+		// Patch failures are impossible for in-range ids.
+		_ = ss.Shards()[ss.ShardOf(id)].Patch(id)
+	}
 	nets := ss.Shards()
 	probe := nets[0] // state queries read the shared population
 	for i := 0; i < ss.N(); i++ {
@@ -174,12 +180,14 @@ func (im *Immunizer) deployShards(ss *mms.ShardSet, src *rng.Source) {
 		}
 		im.wave = append(im.wave, patchEntry{at: im.armAt + offset, id: id})
 	}
-	sort.Slice(im.wave, func(i, j int) bool {
-		if im.wave[i].at != im.wave[j].at {
-			return im.wave[i].at < im.wave[j].at
-		}
-		return im.wave[i].id < im.wave[j].id
-	})
+	// Phone ids are unique, so (at, id) is a total order and the unstable
+	// sort yields the one canonical wave.
+	slices.SortFunc(im.wave, comparePatch)
+}
+
+// comparePatch orders patch entries by (install time, phone id).
+func comparePatch(a, b patchEntry) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id))
 }
 
 // releaseWave schedules every pending patch installing before the next
@@ -197,11 +205,7 @@ func (im *Immunizer) releaseWave(ss *mms.ShardSet, barrier, next time.Duration) 
 			at = barrier
 		}
 		n := ss.Shards()[ss.ShardOf(e.id)]
-		id := e.id
-		if _, err := n.Sim().ScheduleAt(at, func(*des.Simulation) {
-			// Patch failures are impossible for in-range ids.
-			_ = n.Patch(id)
-		}); err != nil {
+		if _, err := n.Sim().ScheduleArgAt(at, im.patchH, uint64(e.id)); err != nil {
 			return
 		}
 	}
