@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -102,13 +103,20 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 		"-distributed", "-workers", "4", "-storedir", storeDir, "-out", outDir)...)
 	var errBuf bytes.Buffer
 	coord.Stderr = &errBuf
-	stdout, err := coord.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// An io.Pipe rather than StdoutPipe: Wait then finishes copying stdout
+	// before it returns, so the exit watcher below cannot cut the transcript.
+	stdout, stdoutW := io.Pipe()
+	coord.Stdout = stdoutW
 	if err := coord.Start(); err != nil {
 		t.Fatalf("start coordinator: %v", err)
 	}
+	exited := make(chan struct{})
+	var waitErr error
+	go func() {
+		waitErr = coord.Wait()
+		_ = stdoutW.Close()
+		close(exited)
+	}()
 
 	// Harvest worker pids (including restarts) and the full transcript from
 	// the coordinator's stdout as it streams.
@@ -143,27 +151,26 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 	}
 	killed := map[int]bool{}
 	killNext := func(minAcks int) bool {
-		deadline := time.Now().Add(2 * time.Minute)
-		for time.Now().Before(deadline) {
-			if ackCount() >= minAcks {
-				mu.Lock()
-				var victim int
-				for i := len(pids) - 1; i >= 0; i-- {
-					if !killed[pids[i]] {
-						victim = pids[i]
-						break
-					}
-				}
-				mu.Unlock()
-				if victim != 0 && syscall.Kill(victim, syscall.SIGKILL) == nil {
-					killed[victim] = true
-					t.Logf("SIGKILLed worker pid=%d at %d acks", victim, ackCount())
-					return true
+		return pollUntil(func() bool {
+			if ackCount() < minAcks {
+				return false
+			}
+			mu.Lock()
+			var victim int
+			for i := len(pids) - 1; i >= 0; i-- {
+				if !killed[pids[i]] {
+					victim = pids[i]
+					break
 				}
 			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		return false
+			mu.Unlock()
+			if victim == 0 || syscall.Kill(victim, syscall.SIGKILL) != nil {
+				return false
+			}
+			killed[victim] = true
+			t.Logf("SIGKILLed worker pid=%d at %d acks", victim, ackCount())
+			return true
+		}, exited, 2*time.Millisecond)
 	}
 	kills := 0
 	if killNext(1) {
@@ -173,7 +180,7 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 		kills++
 	}
 
-	waitErr := coord.Wait()
+	<-exited
 	<-scanDone
 	mu.Lock()
 	out := transcript.String()

@@ -50,20 +50,22 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	if err := victim.Start(); err != nil {
 		t.Fatalf("start victim: %v", err)
 	}
+	exited := make(chan struct{})
+	go func() {
+		_ = victim.Wait() // expected to report the SIGKILL (or success if it won the race)
+		close(exited)
+	}()
 
 	// Kill once the journal shows progress, so some units are durable and
 	// others in flight. If the sweep finishes first the kill is moot and
 	// the resume degenerates to a pure warm rerun — still a valid check.
 	journal := filepath.Join(storeDir, "journal.jsonl")
-	deadline := time.Now().Add(2 * time.Minute)
-	for journalLines(journal) < 5 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := journalLines(journal); n < 5 {
-		t.Logf("journal only reached %d lines before deadline; killing anyway", n)
+	if !pollUntil(func() bool { return journalLines(journal) >= 5 }, exited, 5*time.Millisecond) {
+		t.Logf("journal only reached %d lines before the victim exited or the deadline passed; killing anyway",
+			journalLines(journal))
 	}
 	_ = victim.Process.Kill()
-	_ = victim.Wait() // expected to report the SIGKILL (or success if it won the race)
+	<-exited
 	t.Logf("killed after %d journal lines", journalLines(journal))
 
 	resume := exec.Command(bin, append(workload, "-storedir", storeDir, "-resume", "-out", outDir)...)
@@ -101,4 +103,23 @@ func journalLines(path string) int {
 		return 0
 	}
 	return bytes.Count(data, []byte("\n"))
+}
+
+// pollUntil checks cond every tick until it holds, the watched child exits
+// (exited closes), or a 2-minute backstop passes. It reports whether cond
+// held; once the child has exited cond is not evaluated again.
+func pollUntil(cond func() bool, exited <-chan struct{}, tick time.Duration) bool {
+	backstop := time.After(2 * time.Minute)
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	for !cond() {
+		select {
+		case <-exited:
+			return false
+		case <-backstop:
+			return false
+		case <-ticker.C:
+		}
+	}
+	return true
 }

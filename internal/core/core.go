@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/curve"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/mms"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/virus"
 )
@@ -37,15 +37,12 @@ type Config struct {
 	// Graph configures the contact-list topology. Its N is overridden by
 	// Population.
 	Graph graph.PowerLawConfig
-	// GraphBuilder, if non-nil, replaces the power-law generator (used for
-	// topology-sensitivity studies). It must return a graph with
-	// Population nodes.
-	GraphBuilder func(src *rng.Source) (*graph.Graph, error)
-	// CSRBuilder, if non-nil, streams the contact topology directly into
-	// CSR form without ever materializing an adjacency-map Graph (see
-	// graph.BarabasiAlbertCSR). This is the 10^5+-phone path, where the
-	// per-node maps would dominate memory. Mutually exclusive with
-	// GraphBuilder; must return a CSR with Population nodes.
+	// CSRBuilder, if non-nil, replaces the power-law generator: it builds
+	// the contact topology in CSR form, streaming it directly for the
+	// 10^5+-phone path (see graph.BarabasiAlbertCSR) or converting an
+	// adjacency-map generator's output with graph.FromGraph (the
+	// topology-sensitivity studies). It must return a CSR with Population
+	// nodes.
 	CSRBuilder func(src *rng.Source) (*graph.CSR, error)
 	// Virus selects the virus scenario.
 	Virus virus.Config
@@ -131,9 +128,6 @@ func (c Config) Validate() error {
 	}
 	if float64(c.InitialInfected) > c.SusceptibleFraction*float64(c.Population) {
 		return fmt.Errorf("core: %d seeds exceed the susceptible population", c.InitialInfected)
-	}
-	if c.GraphBuilder != nil && c.CSRBuilder != nil {
-		return errors.New("core: GraphBuilder and CSRBuilder are mutually exclusive")
 	}
 	if c.Shards > 1 {
 		switch {
@@ -299,10 +293,9 @@ func runHorizon(ctx context.Context, sim *des.Simulation, horizon time.Duration)
 	}
 }
 
-// buildTopology produces the CSR contact graph, taking the streaming
-// CSRBuilder path when configured and otherwise converting the adjacency-map
-// generator's output. Both paths draw from the same stream, so a CSRBuilder
-// emitting the same edges as a GraphBuilder yields the identical topology.
+// buildTopology produces the CSR contact graph, taking the CSRBuilder path
+// when configured and otherwise converting the power-law generator's
+// output.
 func buildTopology(cfg Config, src *rng.Source) (*graph.CSR, error) {
 	if cfg.CSRBuilder != nil {
 		topo, err := cfg.CSRBuilder(src)
@@ -314,20 +307,11 @@ func buildTopology(cfg Config, src *rng.Source) (*graph.CSR, error) {
 		}
 		return topo, nil
 	}
-	var g *graph.Graph
-	var err error
-	if cfg.GraphBuilder != nil {
-		g, err = cfg.GraphBuilder(src)
-	} else {
-		gc := cfg.Graph
-		gc.N = cfg.Population
-		g, err = graph.PowerLaw(gc, src)
-	}
+	gc := cfg.Graph
+	gc.N = cfg.Population
+	g, err := graph.PowerLaw(gc, src)
 	if err != nil {
 		return nil, err
-	}
-	if g.N() != cfg.Population {
-		return nil, fmt.Errorf("core: graph has %d nodes, config wants %d", g.N(), cfg.Population)
 	}
 	return graph.FromGraph(g), nil
 }
@@ -501,20 +485,13 @@ func RunContext(ctx context.Context, cfg Config, opts Options) (*RunSet, error) 
 
 	results := make([]*Result, opts.Replications)
 	errs := make([]*ReplicationError, opts.Replications)
-	sem := make(chan struct{}, opts.Parallelism)
-	var wg sync.WaitGroup
+	p := pool.New(min(opts.Parallelism, opts.Replications))
 	for i := 0; i < opts.Replications; i++ {
-		i := i
-		seed := ReplicationSeed(opts.BaseSeed, i)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = RunReplication(ctx, cfg, i, seed)
-		}()
+		p.Submit(func() {
+			results[i], errs[i] = RunReplication(ctx, cfg, i, ReplicationSeed(opts.BaseSeed, i))
+		})
 	}
-	wg.Wait()
+	p.Close()
 
 	return AssembleRunSet(cfg, opts, results, errs)
 }

@@ -201,12 +201,18 @@ func TestRunNilResponseFactoryRejected(t *testing.T) {
 	}
 }
 
+// TestGraphBuilderOverride: a CSRBuilder replaces the power-law topology,
+// including one converted from an adjacency-map generator.
 func TestGraphBuilderOverride(t *testing.T) {
 	t.Parallel()
 
 	cfg := smallConfig(virus.Virus3())
-	cfg.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
-		return graph.ErdosRenyi(cfg.Population, 0.1, src)
+	cfg.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
+		g, err := graph.ErdosRenyi(cfg.Population, 0.1, src)
+		if err != nil {
+			return nil, err
+		}
+		return graph.FromGraph(g), nil
 	}
 	res, err := RunOnce(cfg, 5)
 	if err != nil {
@@ -217,8 +223,8 @@ func TestGraphBuilderOverride(t *testing.T) {
 	}
 
 	// A builder returning the wrong size must be rejected.
-	cfg.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
-		return graph.ErdosRenyi(10, 0.1, src)
+	cfg.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
+		return graph.BarabasiAlbertCSR(10, 2, src)
 	}
 	if _, err := RunOnce(cfg, 5); err == nil {
 		t.Error("wrong-size graph accepted")
@@ -226,7 +232,7 @@ func TestGraphBuilderOverride(t *testing.T) {
 
 	// Builder errors propagate.
 	boom := errors.New("boom")
-	cfg.GraphBuilder = func(*rng.Source) (*graph.Graph, error) { return nil, boom }
+	cfg.CSRBuilder = func(*rng.Source) (*graph.CSR, error) { return nil, boom }
 	if _, err := RunOnce(cfg, 5); !errors.Is(err, boom) {
 		t.Errorf("builder error not propagated: %v", err)
 	}

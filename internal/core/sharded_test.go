@@ -135,11 +135,6 @@ func TestShardedValidationMatrix(t *testing.T) {
 		}},
 		{"too many shards", false, func(c *Config) { c.Shards = c.Population + 1 }},
 		{"negative window", false, func(c *Config) { c.ShardWindow = -time.Second }},
-		{"both builders", false, func(c *Config) {
-			c.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
-				return graph.BarabasiAlbert(600, 4, src)
-			}
-		}},
 	}
 	for _, tc := range cases {
 		cfg := shardedTestConfig(4, 0)

@@ -75,8 +75,12 @@ func SensitivityTopology(s Scale, v virus.Config) Figure {
 	er := s.paperConfig(v)
 	meanDeg := er.Graph.MeanDegree
 	pop := er.Population
-	er.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
-		return graph.ErdosRenyi(pop, meanDeg/float64(pop-1), src)
+	er.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
+		g, err := graph.ErdosRenyi(pop, meanDeg/float64(pop-1), src)
+		if err != nil {
+			return nil, err
+		}
+		return graph.FromGraph(g), nil
 	}
 	fig.Series = append(fig.Series, Series{Label: "Erdos-Renyi", Config: er})
 
@@ -86,8 +90,12 @@ func SensitivityTopology(s Scale, v virus.Config) Figure {
 	if k%2 == 1 {
 		k++
 	}
-	ws.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
-		return graph.WattsStrogatz(wsPop, k, 0.1, src)
+	ws.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
+		g, err := graph.WattsStrogatz(wsPop, k, 0.1, src)
+		if err != nil {
+			return nil, err
+		}
+		return graph.FromGraph(g), nil
 	}
 	fig.Series = append(fig.Series, Series{Label: "Watts-Strogatz", Config: ws})
 

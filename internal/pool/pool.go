@@ -1,9 +1,10 @@
 // Package pool provides the bounded FIFO worker pool introduced by the
 // sweep scheduler (PR 4) as a reusable primitive. The experiment scheduler
-// drains (study, series, replication) units through it; the sharded
-// million-phone runner drains per-shard event-queue windows through it. Both
-// rely on the same two properties: tasks may be submitted while workers run,
-// and Close drains the queue before joining the workers.
+// drains (study, series, replication) units through it, core.RunContext one
+// scenario's replications, and the sharded million-phone runner per-shard
+// event-queue windows. All rely on the same two properties: tasks may be
+// submitted while workers run, and Close drains the queue before joining
+// the workers.
 package pool
 
 import (

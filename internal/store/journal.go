@@ -147,18 +147,12 @@ func parseJournalLine(line []byte) (Key, bool) {
 	if err != nil || len(sum) != len(Key{}.Sum) {
 		return Key{}, false
 	}
-	var k Key
+	seed, ok := ParseSeed(rec.Seed)
+	if !ok {
+		return Key{}, false
+	}
+	k := Key{Seed: seed}
 	copy(k.Sum[:], sum)
-	if len(rec.Seed) != 16 {
-		return Key{}, false
-	}
-	seed, err := hex.DecodeString(rec.Seed)
-	if err != nil {
-		return Key{}, false
-	}
-	for _, b := range seed {
-		k.Seed = k.Seed<<8 | uint64(b)
-	}
 	return k, true
 }
 

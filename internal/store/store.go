@@ -7,12 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/clock"
@@ -33,6 +30,17 @@ type Key struct {
 // a dash, and the seed in fixed-width hex.
 func (k Key) String() string {
 	return hex.EncodeToString(k.Sum[:]) + "-" + fmt.Sprintf("%016x", k.Seed)
+}
+
+// ParseSeed decodes a seed in the fixed-width 16-digit hex form that key
+// strings, journal records and work-queue manifests write; any other
+// shape is rejected.
+func ParseSeed(s string) (uint64, bool) {
+	if len(s) != 16 {
+		return 0, false
+	}
+	seed, err := strconv.ParseUint(s, 16, 64)
+	return seed, err == nil
 }
 
 // Origin reports where GetOrCompute found a result.
@@ -106,24 +114,24 @@ type DiskOptions struct {
 	// Clock reads wall time for lease staleness; nil means the system
 	// clock.
 	Clock clock.Clock
-	// LeaseTTL is how old a lease file may grow before any process may
-	// break it, the backstop for leases whose owner cannot be probed
-	// (default 5m). On the same host a dead owner is detected by pid
-	// immediately, without waiting out the TTL.
-	LeaseTTL time.Duration
-	// LeasePoll is the interval at which a waiter re-checks a held
-	// lease (default 25ms).
-	LeasePoll time.Duration
 	// Alive probes whether the process that wrote a lease still runs;
 	// nil means a signal-0 probe of the pid. Tests inject a stub.
 	Alive func(pid int) bool
 	// Hostname names this host inside lease files. A pid probe is only
 	// meaningful against a lease written on the same host; leases from
 	// other hosts (multi-worker sweeps over a shared filesystem) are
-	// broken by TTL expiry alone. Empty means os.Hostname, and an
-	// unknown hostname degrades every probe to the TTL backstop.
+	// broken by TTL expiry alone. Empty means os.Hostname.
 	Hostname string
 }
+
+// storeLeaseTTL is how old a store lease may grow before any process may
+// break it, the backstop for leases whose owner cannot be probed. On the
+// same host a dead owner is detected by pid immediately.
+const storeLeaseTTL = 5 * time.Minute
+
+// leasePoll is the interval at which GetOrCompute re-checks a lease held
+// by another process.
+const leasePoll = 25 * time.Millisecond
 
 // DiskStore is the production Store: one file per entry under dir,
 // written with temp-file + fsync + rename so a crash at any instant
@@ -139,13 +147,9 @@ type DiskOptions struct {
 // Temp files live next to their final location (same directory, .tmp-*
 // suffix); one orphaned by a crash is inert — nothing ever reads it.
 type DiskStore struct {
-	dir       string
-	fsys      FS
-	now       clock.Clock
-	leaseTTL  time.Duration
-	leasePoll time.Duration
-	alive     func(pid int) bool
-	hostname  string
+	dir    string
+	fsys   FS
+	leases *Leases
 
 	diskHits    atomic.Uint64
 	misses      atomic.Uint64
@@ -155,7 +159,6 @@ type DiskStore struct {
 	readErrors  atomic.Uint64
 	writeErrors atomic.Uint64
 	leaseWaits  atomic.Uint64
-	takeovers   atomic.Uint64
 }
 
 var _ Store = (*DiskStore)(nil)
@@ -167,35 +170,11 @@ func Open(dir string, opts DiskOptions) (*DiskStore, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty store directory")
 	}
-	s := &DiskStore{
-		dir:       dir,
-		fsys:      opts.FS,
-		now:       opts.Clock,
-		leaseTTL:  opts.LeaseTTL,
-		leasePoll: opts.LeasePoll,
-		alive:     opts.Alive,
-	}
+	s := &DiskStore{dir: dir, fsys: opts.FS}
 	if s.fsys == nil {
 		s.fsys = OS
 	}
-	if s.now == nil {
-		s.now = clock.System
-	}
-	if s.leaseTTL <= 0 {
-		s.leaseTTL = 5 * time.Minute
-	}
-	if s.leasePoll <= 0 {
-		s.leasePoll = 25 * time.Millisecond
-	}
-	if s.alive == nil {
-		s.alive = processAlive
-	}
-	s.hostname = opts.Hostname
-	if s.hostname == "" {
-		// A failed lookup leaves the hostname unknown; stale leases are
-		// then broken by TTL alone, which stays correct, just slower.
-		s.hostname, _ = os.Hostname()
-	}
+	s.leases = NewLeases(s.fsys, storeLeaseTTL, opts.Clock, opts.Alive, opts.Hostname, "")
 	for _, sub := range []string{"objects", "corrupt", "leases"} {
 		if err := s.fsys.MkdirAll(filepath.Join(dir, sub)); err != nil {
 			return nil, fmt.Errorf("store: init %s: %w", dir, err)
@@ -301,7 +280,7 @@ func (s *DiskStore) Stats() Stats {
 		ReadErrors:     s.readErrors.Load(),
 		WriteErrors:    s.writeErrors.Load(),
 		LeaseWaits:     s.leaseWaits.Load(),
-		LeaseTakeovers: s.takeovers.Load(),
+		LeaseTakeovers: s.leases.Takeovers(),
 	}
 }
 
@@ -322,7 +301,7 @@ func (s *DiskStore) GetOrCompute(ctx context.Context, k Key, compute func() (*co
 	}
 	waited := false
 	for {
-		acquired, err := s.tryLease(k)
+		acquired, err := s.leases.Acquire(s.leasePath(k))
 		if err != nil {
 			return nil, OriginComputed, err
 		}
@@ -341,7 +320,7 @@ func (s *DiskStore) GetOrCompute(ctx context.Context, k Key, compute func() (*co
 		select {
 		case <-ctx.Done():
 			return nil, OriginComputed, ctx.Err()
-		case <-time.After(s.leasePoll):
+		case <-time.After(leasePoll):
 		}
 		if res, ok, err := s.Get(ctx, k); err != nil {
 			return nil, OriginComputed, err
@@ -349,7 +328,7 @@ func (s *DiskStore) GetOrCompute(ctx context.Context, k Key, compute func() (*co
 			s.peerHits.Add(1)
 			return res, OriginPeer, nil
 		}
-		// Not published yet: loop — tryLease breaks the lease if its
+		// Not published yet: loop — Acquire breaks the lease if its
 		// owner died, otherwise we keep waiting.
 	}
 }
@@ -358,7 +337,7 @@ func (s *DiskStore) GetOrCompute(ctx context.Context, k Key, compute func() (*co
 // the lease in all cases. A failed Put is counted but not fatal: the
 // caller still gets the computed result, the store just stays cold.
 func (s *DiskStore) computeHoldingLease(ctx context.Context, k Key, compute func() (*core.Result, error), recheck bool) (*core.Result, error) {
-	defer s.releaseLease(k)
+	defer s.leases.Release(s.leasePath(k))
 	if recheck {
 		// We took over a stale lease; the dead owner may have published
 		// between our last poll and the takeover.
@@ -376,92 +355,4 @@ func (s *DiskStore) computeHoldingLease(ctx context.Context, k Key, compute func
 	// result is correct regardless.
 	_ = s.Put(ctx, k, res)
 	return res, nil
-}
-
-// tryLease attempts to create k's lease file exclusively. It breaks an
-// existing lease whose owner is provably dead (same-host pid probe) or
-// whose file has outlived the TTL, then retries once.
-func (s *DiskStore) tryLease(k Key) (bool, error) {
-	path := s.leasePath(k)
-	for attempt := 0; attempt < 2; attempt++ {
-		f, err := s.fsys.OpenExcl(path)
-		if err == nil {
-			// Content is advisory (owner pid + host for the liveness
-			// probe); lease correctness rests on O_EXCL creation alone.
-			_, _ = fmt.Fprintf(f, "%d %s\n", os.Getpid(), s.hostname)
-			_ = f.Sync()
-			if err := f.Close(); err != nil {
-				_ = s.fsys.Remove(path)
-				return false, fmt.Errorf("store: write lease %s: %w", path, err)
-			}
-			return true, nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return false, fmt.Errorf("store: acquire lease %s: %w", path, err)
-		}
-		if !s.leaseDead(path) {
-			return false, nil
-		}
-		// Stale: break it and retry the exclusive create. Concurrent
-		// breakers may both Remove; exactly one OpenExcl then wins.
-		s.takeovers.Add(1)
-		if err := s.fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return false, fmt.Errorf("store: break stale lease %s: %w", path, err)
-		}
-	}
-	return false, nil
-}
-
-// leaseDead reports whether the lease at path can be broken: its file has
-// outlived the TTL (authoritative on its own), or its owner pid provably
-// no longer runs. A vanished file counts as dead (the owner released it).
-//
-// The pid probe is a same-host fast path only: a lease written by a worker
-// on another host names a pid that is meaningless here — probing it would
-// either find an unrelated local process (lease never breaks) or nothing
-// (live lease broken instantly, duplicating work and racing the owner's
-// publish). When the lease's host is absent, unparseable, or differs from
-// ours, TTL expiry is the only authority.
-func (s *DiskStore) leaseDead(path string) bool {
-	info, err := s.fsys.Stat(path)
-	if err != nil {
-		return true
-	}
-	if s.now().Sub(info.ModTime()) > s.leaseTTL {
-		return true
-	}
-	data, err := s.fsys.ReadFile(path)
-	if err != nil {
-		return true
-	}
-	fields := strings.Fields(string(data))
-	if len(fields) == 0 {
-		// Torn lease write: only the TTL can break it.
-		return false
-	}
-	pid, err := strconv.Atoi(fields[0])
-	if err != nil || pid <= 0 {
-		return false
-	}
-	if len(fields) < 2 || s.hostname == "" || fields[1] != s.hostname {
-		// Unknown or foreign host: the pid is not ours to probe.
-		return false
-	}
-	return !s.alive(pid)
-}
-
-// releaseLease removes k's lease file, best effort: an unremovable lease
-// is eventually broken by TTL.
-func (s *DiskStore) releaseLease(k Key) {
-	_ = s.fsys.Remove(s.leasePath(k))
-}
-
-// processAlive probes pid with signal 0, the conventional same-host
-// liveness check. FindProcess never fails on unix; the signal does.
-func processAlive(pid int) bool {
-	p, err := os.FindProcess(pid)
-	if err != nil {
-		return false
-	}
-	return p.Signal(syscall.Signal(0)) == nil
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -332,85 +330,14 @@ func TestGetOrComputeStaleLeaseTakeover(t *testing.T) {
 	}
 }
 
-// TestLeaseForeignHostOnlyTTL: a lease recorded on another host names a pid
-// that is meaningless here, so even a "dead" probe result must not break it
-// before the TTL — and TTL expiry must, probe notwithstanding.
-func TestLeaseForeignHostOnlyTTL(t *testing.T) {
-	t.Parallel()
-
-	fresh := openTestStore(t, DiskOptions{
-		Hostname: "hostB",
-		Alive:    func(pid int) bool { return false },
-	})
-	k := testKey("cfg", 37)
-	if err := os.WriteFile(fresh.leasePath(k), []byte("999999 hostA\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.leaseDead(fresh.leasePath(k)) {
-		t.Error("fresh foreign-host lease declared dead by a local pid probe")
-	}
-
-	aged := openTestStore(t, DiskOptions{
-		Hostname: "hostB",
-		Alive:    func(pid int) bool { return true },
-		Clock:    func() time.Time { return time.Now().Add(time.Hour) },
-		LeaseTTL: 5 * time.Minute,
-	})
-	if err := os.WriteFile(aged.leasePath(k), []byte("999999 hostA\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !aged.leaseDead(aged.leasePath(k)) {
-		t.Error("foreign-host lease past the TTL not declared dead")
-	}
-}
-
-// TestLeaseTakeoverOfSIGKilledOwner is the satellite regression test for
-// the crash the lease protocol exists to survive: a real subprocess writes
-// its pid into a lease and is SIGKILLed, and the default signal-0 probe —
-// no injected Alive — detects the death and lets the takeover proceed.
-func TestLeaseTakeoverOfSIGKilledOwner(t *testing.T) {
-	t.Parallel()
-
-	s := openTestStore(t, DiskOptions{})
-	ctx := context.Background()
-	k := testKey("cfg", 41)
-
-	cmd := exec.Command("sleep", "60")
-	if err := cmd.Start(); err != nil {
-		t.Skipf("cannot start subprocess: %v", err)
-	}
-	pid := cmd.Process.Pid
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	// Reap the child: a zombie still answers signal 0, so without the Wait
-	// the probe would see the owner as alive.
-	_ = cmd.Wait()
-
-	lease := fmt.Sprintf("%d %s\n", pid, s.hostname)
-	if err := os.WriteFile(s.leasePath(k), []byte(lease), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, origin, err := s.GetOrCompute(ctx, k, func() (*core.Result, error) {
-		return testResult(t), nil
-	})
-	if err != nil || res == nil || origin != OriginComputed {
-		t.Fatalf("takeover of SIGKILLed owner's lease: origin=%v err=%v", origin, err)
-	}
-	if st := s.Stats(); st.LeaseTakeovers != 1 {
-		t.Errorf("takeovers = %d, want 1", st.LeaseTakeovers)
-	}
-}
-
 // TestGetOrComputeTTLTakeover: a lease with an unparseable owner pid can
 // only be broken by age; with the clock advanced past the TTL it is.
 func TestGetOrComputeTTLTakeover(t *testing.T) {
 	t.Parallel()
 
 	s := openTestStore(t, DiskOptions{
-		Clock:    func() time.Time { return time.Now().Add(time.Hour) },
-		LeaseTTL: 5 * time.Minute,
-		Alive:    func(pid int) bool { return true },
+		Clock: func() time.Time { return time.Now().Add(time.Hour) },
+		Alive: func(pid int) bool { return true },
 	})
 	ctx := context.Background()
 	k := testKey("cfg", 19)
@@ -428,27 +355,13 @@ func TestGetOrComputeTTLTakeover(t *testing.T) {
 	}
 }
 
-func TestLeaseDeadUnparseableFreshLeaseHolds(t *testing.T) {
-	t.Parallel()
-
-	s := openTestStore(t, DiskOptions{Alive: func(pid int) bool { return false }})
-	k := testKey("cfg", 23)
-	if err := os.WriteFile(s.leasePath(k), []byte("garbage\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if s.leaseDead(s.leasePath(k)) {
-		t.Error("fresh lease with unparseable pid was declared dead; only the TTL may break it")
-	}
-}
-
 // TestGetOrComputeWaitsForPeer: with a live lease held by "another
 // process", the caller waits and picks up the entry that peer publishes.
 func TestGetOrComputeWaitsForPeer(t *testing.T) {
 	t.Parallel()
 
 	s := openTestStore(t, DiskOptions{
-		Alive:     func(pid int) bool { return true },
-		LeasePoll: 2 * time.Millisecond,
+		Alive: func(pid int) bool { return true },
 	})
 	ctx := context.Background()
 	k := testKey("cfg", 29)
@@ -497,8 +410,7 @@ func TestGetOrComputeCancelledWhileWaiting(t *testing.T) {
 	t.Parallel()
 
 	s := openTestStore(t, DiskOptions{
-		Alive:     func(pid int) bool { return true },
-		LeasePoll: 2 * time.Millisecond,
+		Alive: func(pid int) bool { return true },
 	})
 	k := testKey("cfg", 31)
 	if err := os.WriteFile(s.leasePath(k), []byte("424242\n"), 0o644); err != nil {

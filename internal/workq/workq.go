@@ -238,7 +238,7 @@ func LoadManifest(fsys store.FS, path string) (*Manifest, error) {
 				return m, nil
 			}
 			u := *rec.Unit
-			seed, ok := parseSeed(rec.Seed)
+			seed, ok := store.ParseSeed(rec.Seed)
 			if !ok {
 				return m, nil
 			}
@@ -260,19 +260,4 @@ func LoadManifest(fsys store.FS, path string) (*Manifest, error) {
 		}
 	}
 	return m, nil
-}
-
-func parseSeed(s string) (uint64, bool) {
-	if len(s) != 16 {
-		return 0, false
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return 0, false
-	}
-	var seed uint64
-	for _, c := range b {
-		seed = seed<<8 | uint64(c)
-	}
-	return seed, true
 }
